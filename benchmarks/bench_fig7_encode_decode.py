@@ -177,37 +177,76 @@ def bench_fig7b_decoding_breakdown(benchmark):
     assert set(deepsz_phases) == {"lossless", "sz", "csr"}
 
 
-def bench_fig7_huffman_decode_throughput(benchmark):
-    """Decode throughput of the vectorised Huffman kernel.
+#: Half-scale AlexNet fc stack and its error bounds: the fc-layer shapes the
+#: cold-start path decodes (every layer's stream is long enough for sync
+#: points).
+SYNC_LAYER_SPEC = "fc6=2048x4608:0.09,fc7=2048x2048:0.09,fc8=500x2048:0.25"
+SYNC_LAYER_BOUNDS = {"fc6": 0.03, "fc7": 0.02, "fc8": 0.1}
 
-    The Figure 7b "sz" phase is dominated by Huffman decoding; the batched
-    NumPy table-probe kernel replaced a per-symbol Python loop, so this
-    benchmark tracks symbols/second on a residual-like stream (the
-    distribution the SZ pipeline actually feeds the codec).
+
+def _huffman_sections(sz_payload: bytes) -> dict:
+    """The Huffman blob's sections inside a v1 SZ payload."""
+    from repro.sz.lossless import get_backend
+    from repro.utils.bytesio import read_named_sections
+
+    meta, sections = read_named_sections(sz_payload)
+    raw = get_backend(meta["lossless"]).decompress(sections["body"])
+    return read_named_sections(read_named_sections(raw)[1]["huffman"])[1]
+
+
+def bench_fig7_huffman_decode_throughput(benchmark):
+    """Decode throughput of both Huffman kernels, and what sync points cost.
+
+    The Figure 7b "sz" phase is dominated by Huffman decoding.  Streams of
+    2^16 symbols or more carry a ``sync`` section (the bit offset of every
+    256th symbol) and decode in lockstep lanes; the same stream with the
+    section stripped decodes through the per-bit kernel every shorter
+    stream uses.  Both run on a residual-like stream (the distribution the
+    SZ pipeline actually feeds the codec).  The sync section's size is
+    reported per layer of a half-scale AlexNet fc stack.
     """
+    from repro.cli import synthetic_sparse_layers
+    from repro.core import DeepSZEncoder
     from repro.sz.huffman import HuffmanCodec
+    from repro.utils.bytesio import read_named_sections, write_named_sections
 
     rng = np.random.default_rng(7)
     symbols = np.rint(rng.standard_normal(2_000_000) * 3).astype(np.int64)
     codec = HuffmanCodec()
     blob = codec.encode(symbols)
-
-    start = time.perf_counter()
-    out = codec.decode(blob)
-    seconds = time.perf_counter() - start
-    assert np.array_equal(out, symbols)
-    throughput = symbols.size / max(seconds, 1e-9)
+    meta, sections = read_named_sections(blob)
+    sync_bytes = len(sections.pop("sync"))
+    del meta["sync_stride"]
+    no_sync = write_named_sections(sections, meta=meta)
 
     rows = [
         ["symbols", f"{symbols.size:,}"],
-        ["encoded bytes", f"{len(blob):,}"],
-        ["decode wall-clock", f"{seconds:.3f} s"],
-        ["throughput", f"{throughput / 1e6:.2f} Msymbols/s"],
+        ["encoded bytes (with sync)", f"{len(blob):,}"],
+        ["sync section bytes", f"{sync_bytes:,} ({100 * sync_bytes / len(no_sync):.2f} %)"],
     ]
+    for label, encoded in (("sync: lane walk", blob), ("no sync: per-bit kernel", no_sync)):
+        start = time.perf_counter()
+        out = codec.decode(encoded)
+        seconds = time.perf_counter() - start
+        assert np.array_equal(out, symbols)
+        rows.append([
+            f"{label} decode",
+            f"{seconds * 1e3:.1f} ms, {symbols.size / max(seconds, 1e-9) / 1e6:.2f} Msym/s",
+        ])
+
+    layers = synthetic_sparse_layers(SYNC_LAYER_SPEC, seed=7)
+    model = DeepSZEncoder().encode("alexnet-fc-half", layers, SYNC_LAYER_BOUNDS)
+    for name, layer in model.layers.items():
+        huffman = _huffman_sections(layer.sz_payload)
+        rows.append([
+            f"{name} sync bytes",
+            f"{len(huffman.get('sync', b'')):,} of {len(layer.sz_payload):,} sz bytes",
+        ])
+
     text = render_table(
         ["metric", "value"],
         rows,
-        title="Huffman decode throughput (vectorised table-probe kernel)",
+        title="Huffman decode throughput: lane walk (sync points) vs per-bit kernel",
     )
     write_result("fig7_huffman_decode_throughput", text)
 

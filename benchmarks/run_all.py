@@ -27,6 +27,10 @@ Refresh those baselines with ``--update-baselines`` on the reference
 machine whenever a PR legitimately moves a gated number (and commit the
 result).
 
+A failing suite does not stop the run: every selected suite runs, every
+artifact that can be written is written, and the exit status is non-zero
+with the failed suites listed on stderr.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/run_all.py               # smoke mode
@@ -210,17 +214,25 @@ def _usable_cores() -> int:
 _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+class SuiteFailed(Exception):
+    """A suite's script failed or left no readable raw results."""
+
+
 def run_suite(name: str, *, smoke: bool, out_dir: Path) -> Path:
     script, raw_name, extract = SUITES[name]
     print(f"== {name}: {script} ({'smoke' if smoke else 'full'} mode) ==", flush=True)
     env = _suite_env(smoke)
-    subprocess.run(
-        [sys.executable, script],
-        cwd=BENCH_DIR,
-        env=env,
-        check=True,
-    )
-    raw = json.loads((RESULTS_DIR / raw_name).read_text())
+    raw_path = RESULTS_DIR / raw_name
+    # A stale file from an earlier run must not pass for this run's output.
+    raw_path.unlink(missing_ok=True)
+    proc = subprocess.run([sys.executable, script], cwd=BENCH_DIR, env=env)
+    if proc.returncode != 0:
+        raise SuiteFailed(f"{script} exited with status {proc.returncode}")
+    try:
+        raw = json.loads(raw_path.read_text())
+        extracted = extract(raw)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise SuiteFailed(f"unreadable {raw_name}: {exc!r}") from exc
     artifact = {
         "schema_version": SCHEMA_VERSION,
         "suite": name,
@@ -228,7 +240,7 @@ def run_suite(name: str, *, smoke: bool, out_dir: Path) -> Path:
         # Recording-host parallelism: compare_baselines.py reads this from
         # both artifacts to core-scale the expectations in core_scaled.
         "host_cores": _usable_cores(),
-        **extract(raw),
+        **extracted,
     }
     if name == "serving":
         # bench_serving.py setdefaults these to 1; an explicit env override
@@ -263,7 +275,15 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = [run_suite(name, smoke=not args.full, out_dir=out_dir) for name in names]
+    # Every selected suite runs even after one fails, so one broken suite
+    # never hides the others' artifacts from the baseline comparison.
+    artifacts, failed = [], []
+    for name in names:
+        try:
+            artifacts.append(run_suite(name, smoke=not args.full, out_dir=out_dir))
+        except SuiteFailed as exc:
+            print(f"!! suite {name} failed: {exc}", file=sys.stderr, flush=True)
+            failed.append(name)
 
     if args.update_baselines:
         BASELINE_DIR.mkdir(parents=True, exist_ok=True)
@@ -271,6 +291,9 @@ def main(argv=None) -> int:
             target = BASELINE_DIR / path.name
             shutil.copyfile(path, target)
             print(f"baseline refreshed: {target}")
+    if failed:
+        print(f"failed suites: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

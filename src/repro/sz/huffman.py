@@ -7,15 +7,18 @@ reconstructed canonically on both sides, which keeps the header small and the
 decoder deterministic.
 
 Encoding is fully vectorised (the per-symbol bit expansion happens inside
-NumPy); decoding walks the bitstream with a compact two-level lookup table so
-that the common short codes are resolved in a single table probe.
+NumPy).  Streams of at least :data:`_SYNC_MIN_COUNT` symbols also carry a
+``sync`` section with the bit offset of every :data:`_SYNC_STRIDE`-th
+symbol, and decode walks all those lanes in lockstep, one fast-table probe
+per lane per round.  Shorter streams (and every blob written before sync
+points existed) decode with a per-bit kernel that needs no side
+information.  See DESIGN.md ("Vectorised Huffman decode").
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-
 import numpy as np
 
 from repro.utils.bitstream import pack_bits, unpack_bits
@@ -25,6 +28,15 @@ from repro.utils.errors import CompressionError, DecompressionError, ValidationE
 __all__ = ["HuffmanCodec", "HuffmanTable"]
 
 _FAST_BITS = 12  # size of the first-level decode table (4096 entries)
+_MAX_CODE_LENGTH = 64
+
+#: Symbols per decode lane: the encoder records the bit offset of every
+#: ``_SYNC_STRIDE``-th symbol.  A lane spans at most 256 * 64 bits, so each
+#: offset delta fits the section's ``<u2`` entries.
+_SYNC_STRIDE = 256
+#: Streams with at least this many symbols carry a ``sync`` section; below
+#: it the per-bit kernel is faster than 256 lockstep rounds.
+_SYNC_MIN_COUNT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,9 +94,103 @@ def _code_lengths(symbols: np.ndarray, counts: np.ndarray) -> np.ndarray:
         lengths[merged] += 1
         heapq.heappush(heap, (c1 + c2, tie, merged))
         tie += 1
-    if np.any(lengths > 64):
+    if np.any(lengths > _MAX_CODE_LENGTH):
         raise CompressionError("Huffman code length exceeds 64 bits")
     return lengths.astype(np.uint8)
+
+
+def _meta_int(meta: dict, key: str) -> int:
+    value = meta.get(key)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise DecompressionError(f"corrupt Huffman header: {key}={value!r}")
+    return value
+
+
+def _read_table(symbol_bytes: bytes, length_bytes: bytes) -> HuffmanTable:
+    """Parse and validate the canonical table sections."""
+    if len(symbol_bytes) % 8:
+        raise DecompressionError("truncated Huffman symbol table")
+    symbols = np.frombuffer(symbol_bytes, dtype="<i8").astype(np.int64)
+    lengths = np.frombuffer(length_bytes, dtype=np.uint8)
+    if symbols.size != lengths.size or symbols.size == 0:
+        raise DecompressionError("corrupt Huffman table")
+    if lengths.min() < 1 or lengths.max() > _MAX_CODE_LENGTH:
+        raise DecompressionError("Huffman code length outside 1..64")
+    if np.any(np.diff(lengths.astype(np.int64)) < 0):
+        raise DecompressionError("Huffman table is not in canonical order")
+    # Kraft's inequality, exactly: sum over codes of 2^(64 - length) <= 2^64.
+    per_length = np.bincount(lengths, minlength=_MAX_CODE_LENGTH + 1)
+    kraft = sum(int(c) << (_MAX_CODE_LENGTH - l) for l, c in enumerate(per_length) if c)
+    if kraft > 1 << _MAX_CODE_LENGTH:
+        raise DecompressionError("Huffman code lengths violate Kraft's inequality")
+    return HuffmanTable(symbols=symbols, lengths=lengths)
+
+
+def _lane_starts(sync: bytes, count: int, stride: int, nbits: int) -> np.ndarray:
+    """Bit offset of every lane's first symbol, from the ``sync`` deltas."""
+    lanes = -(-count // stride)
+    if len(sync) != 2 * (lanes - 1):
+        raise DecompressionError(
+            f"Huffman sync section holds {len(sync) // 2} offsets, expected {lanes - 1}"
+        )
+    starts = np.zeros(lanes, dtype=np.int64)
+    np.cumsum(np.frombuffer(sync, dtype="<u2"), dtype=np.int64, out=starts[1:])
+    if starts[-1] > nbits:
+        raise DecompressionError("Huffman sync offset past the end of the stream")
+    return starts
+
+
+def _fast_table(lengths: np.ndarray, fast_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-level decode table indexed by the next ``fast_bits`` bits.
+
+    Returns the canonical slot (``-1``) and code length (``0``) per index,
+    where the sentinel marks a prefix of a code longer than ``fast_bits``
+    (or of no code at all).  Canonical codes of length <= ``fast_bits``,
+    left-aligned to ``fast_bits``, tile the table from index 0 in slot order,
+    so the table is one ``repeat`` per array.
+    """
+    short = lengths[lengths <= fast_bits].astype(np.int64)
+    spans = np.left_shift(1, fast_bits - short)
+    covered = int(spans.sum())
+    fast_slot = np.full(1 << fast_bits, -1, dtype=np.int32)
+    fast_length = np.zeros(1 << fast_bits, dtype=np.int32)
+    fast_slot[:covered] = np.repeat(np.arange(short.size, dtype=np.int32), spans)
+    fast_length[:covered] = np.repeat(short.astype(np.int32), spans)
+    return fast_slot, fast_length
+
+
+class _LongCodes:
+    """Canonical-range decode of the codes longer than the fast table.
+
+    Left-aligned to ``max_len`` bits, the canonical codes of one length fill
+    one contiguous value range, and the ranges ascend with the length.  So
+    the code a ``max_len``-bit value starts with is found by one
+    ``searchsorted`` over the ranges' last values; a value past the last
+    range starts no code (the table is incomplete) and resolves to slot
+    ``-1``, length ``0``.
+    """
+
+    def __init__(self, table: HuffmanTable, fast_bits: int) -> None:
+        lengths = table.lengths.astype(np.int64)
+        self.max_len = table.max_length
+        self.lengths = np.unique(lengths[lengths > fast_bits])
+        self.first_slot = np.searchsorted(lengths, self.lengths)
+        count = np.searchsorted(lengths, self.lengths, side="right") - self.first_slot
+        self.first_code = table.codes()[self.first_slot]
+        self.shift = (self.max_len - self.lengths).astype(np.uint64)
+        # Inclusive, so a complete 64-bit code's range end does not overflow.
+        ones = (np.uint64(1) << self.shift) - np.uint64(1)
+        self.last = ((self.first_code + count.astype(np.uint64) - np.uint64(1))
+                     << self.shift) | ones
+
+    def resolve(self, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slot and code length for each ``max_len``-bit ``value`` (uint64)."""
+        k = np.searchsorted(self.last, value)
+        valid = k < self.last.size
+        k[~valid] = 0
+        offset = (value >> self.shift[k]) - self.first_code[k]
+        slot = np.where(valid, self.first_slot[k] + offset.astype(np.int64), -1)
+        return slot, np.where(valid, self.lengths[k], 0)
 
 
 class HuffmanCodec:
@@ -136,52 +242,156 @@ class HuffmanCodec:
             valid = col[None, :] >= (maxw - lens[:, None])
             pieces.append(bits_matrix.astype(bool)[valid])
         bits = np.concatenate(pieces) if pieces else np.zeros(0, dtype=bool)
-        payload = pack_bits(bits)
 
-        return write_named_sections(
-            {
-                "table_symbols": table.symbols.astype("<i8").tobytes(),
-                "table_lengths": table.lengths.astype(np.uint8).tobytes(),
-                "payload": payload,
-            },
-            meta={"count": n, "nbits": int(bits.size)},
-        )
+        sections = {
+            "table_symbols": table.symbols.astype("<i8").tobytes(),
+            "table_lengths": table.lengths.astype(np.uint8).tobytes(),
+            "payload": pack_bits(bits),
+        }
+        meta = {"count": n, "nbits": int(bits.size)}
+        if n >= _SYNC_MIN_COUNT:
+            # Bits per lane; the last lane's total is implied by `nbits`.
+            lane_bits = np.add.reduceat(code_lens, np.arange(0, n, _SYNC_STRIDE))
+            sections["sync"] = lane_bits[:-1].astype("<u2").tobytes()
+            meta["sync_stride"] = _SYNC_STRIDE
+        return write_named_sections(sections, meta=meta)
 
     # -- decoding --------------------------------------------------------
     def decode(self, blob: bytes) -> np.ndarray:
-        """Decode a byte string produced by :meth:`encode`."""
+        """Decode a byte string produced by :meth:`encode`.
+
+        Malformed blobs raise :class:`DecompressionError`.
+        """
         meta, sections = read_named_sections(blob)
-        count = int(meta.get("count", 0))
-        nbits = int(meta.get("nbits", 0))
+        count = _meta_int(meta, "count")
+        nbits = _meta_int(meta, "nbits")
+        missing = {"table_symbols", "table_lengths", "payload"} - sections.keys()
+        if missing:
+            raise DecompressionError(f"Huffman blob lacks sections {sorted(missing)}")
+        payload = sections["payload"]
+        if nbits > 8 * len(payload):
+            raise DecompressionError(
+                f"bitstream truncated: need {nbits} bits, have {8 * len(payload)}"
+            )
         if count == 0:
             return np.zeros(0, dtype=np.int64)
-        symbols = np.frombuffer(sections["table_symbols"], dtype="<i8").astype(np.int64)
-        lengths = np.frombuffer(sections["table_lengths"], dtype=np.uint8)
-        if symbols.size != lengths.size or symbols.size == 0:
-            raise DecompressionError("corrupt Huffman table")
-        table = HuffmanTable(symbols=symbols, lengths=lengths)
-        bits = unpack_bits(sections["payload"], nbits)
-        return self._decode_bits(bits, table, count)
+        if count > nbits:
+            # Every code is at least one bit long.
+            raise DecompressionError("Huffman bitstream exhausted")
+        table = _read_table(sections["table_symbols"], sections["table_lengths"])
+        sync = sections.get("sync")
+        if sync is None:
+            return self._decode_bits(unpack_bits(payload, nbits), table, count)
+        stride = _meta_int(meta, "sync_stride")
+        if not 1 <= stride <= 0xFFFF:
+            # A lane of `stride` symbols spans at least `stride` bits, and
+            # the <u2 deltas cap a lane at 0xFFFF bits.
+            raise DecompressionError(f"corrupt Huffman header: sync_stride={stride}")
+        starts = _lane_starts(sync, count, stride, nbits)
+        return self._decode_lanes(payload, nbits, table, count, starts, stride)
+
+    @staticmethod
+    def _decode_lanes(
+        payload: bytes,
+        nbits: int,
+        table: HuffmanTable,
+        count: int,
+        starts: np.ndarray,
+        stride: int,
+    ) -> np.ndarray:
+        """Lockstep lane decode from the encoder's sync points.
+
+        Lane ``i`` holds symbols ``[i * stride, (i + 1) * stride)`` and starts
+        at bit ``starts[i]``.  Every round reads one big-endian 32-bit window
+        per lane straight from the payload bytes, probes the fast table once,
+        records the probe index and advances each lane by its code length; a
+        miss falls back to :class:`_LongCodes` for just those lanes.  After
+        ``stride`` rounds each lane must stand exactly on the next lane's
+        start, and the last lane's final symbol must end within ``nbits``.
+        """
+        max_len = table.max_length
+        fast_bits = min(_FAST_BITS, max_len)
+        fast_slot, fast_length = _fast_table(table.lengths, fast_bits)
+
+        # Zero-padded copy: the last lane walks on past its final symbol
+        # for the rest of the rounds, and clearing the bits past `nbits`
+        # makes that walk read only the all-zero (always valid) code.
+        buf = np.zeros((nbits + (stride + 1) * max_len) // 8 + 9, dtype=np.uint8)
+        used = (nbits + 7) // 8
+        buf[:used] = np.frombuffer(payload, dtype=np.uint8, count=used)
+        if nbits % 8:
+            buf[used - 1] &= (0xFF00 >> (nbits % 8)) & 0xFF
+        # words[b] = the 32 bits starting at byte b, big-endian.
+        words = np.ndarray(
+            (buf.size - 3,), dtype=">u4", buffer=buf, strides=(1,)
+        ).astype(np.int64)
+        if max_len > fast_bits:
+            long_codes = _LongCodes(table, fast_bits)
+            words64 = np.ndarray((buf.size - 8,), dtype=">u8", buffer=buf, strides=(1,))
+
+        lanes = starts.size
+        last_rounds = count - (lanes - 1) * stride
+        # Round-major, so each round's store is contiguous; the odd row
+        # length keeps the final transpose from striding by a power of two.
+        index = np.empty((stride, lanes | 1), dtype=np.int64)
+        pos = starts.copy()
+        last_end = 0
+        shift = 32 - fast_bits
+        mask = (1 << fast_bits) - 1
+        for r in range(stride):
+            if r == last_rounds:
+                last_end = int(pos[-1])
+            window = words[pos >> 3]
+            window <<= pos & 7
+            window >>= shift
+            window &= mask
+            length = fast_length[window]
+            if max_len > fast_bits:
+                miss = np.flatnonzero(length == 0)
+                if miss.size:
+                    # The 64 bits at each missed lane: 8 bytes shifted left
+                    # by the bit offset, topped up from the ninth byte.
+                    at = pos[miss]
+                    byte = at >> 3
+                    bit = (at & 7).astype(np.uint64)
+                    value = words64[byte].astype(np.uint64) << bit
+                    value |= buf[byte + 8] >> (np.uint64(8) - bit)
+                    value >>= np.uint64(64 - max_len)
+                    slot, length[miss] = long_codes.resolve(value)
+                    # Long codes index past the fast table; unresolved
+                    # lanes keep their fast index, whose slot is -1.
+                    window[miss[slot >= 0]] = fast_slot.size + slot[slot >= 0]
+            index[r, :lanes] = window
+            pos += length
+        if last_rounds == stride:
+            last_end = int(pos[-1])
+
+        slot_of = np.concatenate([fast_slot, np.arange(table.symbols.size)])
+        slots = slot_of[index[:, :lanes].T.reshape(-1)[:count]]
+        if np.any(slots < 0):
+            raise DecompressionError("invalid Huffman code in stream")
+        if not np.array_equal(pos[:-1], starts[1:]):
+            raise DecompressionError("Huffman lane does not end at the next sync point")
+        if last_end > nbits:
+            raise DecompressionError("Huffman bitstream overrun")
+        return table.symbols[slots]
 
     #: Symbols decoded per anchor in the lockstep phase of :meth:`_decode_bits`.
     _CHAIN_STRIDE = 32
 
     @staticmethod
     def _decode_bits(bits: np.ndarray, table: HuffmanTable, count: int) -> np.ndarray:
-        """Batched NumPy table-probe decode.
+        """Batched NumPy table-probe decode for streams without sync points.
 
         The decode problem is a chain walk — ``pos[i+1] = pos[i] +
-        code_length_at(pos[i])`` — whose per-symbol Python loop (plus the
-        ``.tolist()`` materialisation of the whole bitstream) used to dominate
-        decompression time.  The batched kernel instead:
+        code_length_at(pos[i])``.  Without sync points the kernel:
 
         1. computes the value of the next ``fast_bits`` bits at *every* bit
            offset with ``fast_bits`` shifted vector adds,
         2. probes the fast table for all offsets in one gather, decoding every
            symbol whose fast-table probe hits in one vectorised round,
         3. resolves the rare offsets whose code is longer than ``fast_bits``
-           with one vectorised canonical-range test per extra bit of length
-           (the only remaining loop is over code *lengths*, not symbols),
+           with :class:`_LongCodes`, reading ``max_len`` bits at each,
         4. extracts the chain of actually-visited offsets from the jump table
            ``jump[p] = p + length[p]``: five doublings build a 32-step jump
            table, a scalar walk places one anchor per 32 symbols, and the 32
@@ -190,8 +400,6 @@ class HuffmanCodec:
 
         See DESIGN.md ("Vectorised Huffman decode") for the full derivation.
         """
-        codes = table.codes()
-        lengths = table.lengths.astype(np.int64)
         symbols = table.symbols
         max_len = table.max_length
 
@@ -205,19 +413,8 @@ class HuffmanCodec:
         if nbits == 0:
             raise DecompressionError("Huffman bitstream exhausted")
 
-        # First level: fast table indexed by the next `fast_bits` bits,
-        # mapping to the canonical table slot and the code length.
         fast_bits = min(_FAST_BITS, max_len)
-        fast_slot = np.full(1 << fast_bits, -1, dtype=np.int32)
-        fast_length = np.zeros(1 << fast_bits, dtype=np.int32)
-        for i in range(symbols.size):
-            length = int(lengths[i])
-            if length <= fast_bits:
-                code = int(codes[i])
-                start = code << (fast_bits - length)
-                span = 1 << (fast_bits - length)
-                fast_slot[start : start + span] = i
-                fast_length[start : start + span] = length
+        fast_slot, fast_length = _fast_table(table.lengths, fast_bits)
 
         # Zero padding past the stream end; codes speculatively matched inside
         # the padding are rejected by the final overrun check.
@@ -234,42 +431,13 @@ class HuffmanCodec:
         len_at = fast_length[window]
 
         if max_len > fast_bits:
-            # Second level: canonical-range resolution for long codes, applied
-            # only at offsets whose fast probe missed.  Canonical codes of one
-            # length occupy a contiguous value range [first, first + count),
-            # and the l-bit prefix of any longer canonical code compares
-            # strictly greater, so the range test is exact.
             miss = np.nonzero(len_at == 0)[0]
             if miss.size:
-                first_code = np.zeros(max_len + 1, dtype=np.int64)
-                code_count = np.zeros(max_len + 1, dtype=np.int64)
-                slot_base = np.zeros(max_len + 1, dtype=np.int64)
-                for i in range(symbols.size):
-                    length = int(lengths[i])
-                    if length > fast_bits:
-                        if code_count[length] == 0:
-                            first_code[length] = int(codes[i])
-                            slot_base[length] = i
-                        code_count[length] += 1
-
-                value = window[miss].astype(np.int64)
-                unresolved = np.ones(miss.size, dtype=bool)
-                for length in range(fast_bits + 1, max_len + 1):
-                    value <<= 1
-                    value += padded[miss + (length - 1)]
-                    if code_count[length] == 0:
-                        continue
-                    hit = (
-                        unresolved
-                        & (value >= first_code[length])
-                        & (value < first_code[length] + code_count[length])
-                    )
-                    if np.any(hit):
-                        slot_at[miss[hit]] = slot_base[length] + (
-                            value[hit] - first_code[length]
-                        )
-                        len_at[miss[hit]] = length
-                        unresolved &= ~hit
+                value = window[miss].astype(np.uint64)
+                for k in range(fast_bits, max_len):
+                    value <<= np.uint64(1)
+                    value |= padded[miss + k].astype(np.uint64)
+                slot_at[miss], len_at[miss] = _LongCodes(table, fast_bits).resolve(value)
         del window
 
         # Jump table: jump[p] = p + len_at[p]; offsets carrying no valid code
@@ -330,8 +498,8 @@ class HuffmanCodec:
     ) -> np.ndarray:
         """Scalar reference decoder (the pre-vectorisation algorithm).
 
-        Kept for differential testing of :meth:`_decode_bits`; not used on the
-        decode hot path.
+        Kept for differential testing of :meth:`_decode_bits` and
+        :meth:`_decode_lanes`; not used on the decode hot path.
         """
         codes = table.codes()
         lengths = table.lengths.astype(np.int64)

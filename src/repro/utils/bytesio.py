@@ -78,10 +78,25 @@ def read_named_sections(data: bytes) -> tuple[dict, dict[str, bytes]]:
         header = json.loads(read_frame(buf).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DecompressionError(f"corrupt section header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DecompressionError("corrupt section header: not an object")
+    meta = header.get("meta", {})
+    entries = header.get("sections", [])
+    if not isinstance(meta, dict) or not isinstance(entries, list):
+        raise DecompressionError("corrupt section header: bad meta or section list")
     sections: dict[str, bytes] = {}
-    for name, length in header.get("sections", []):
+    for entry in entries:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], int)
+            and entry[1] >= 0
+        ):
+            raise DecompressionError(f"corrupt section table entry {entry!r}")
+        name, length = entry
         blob = buf.read(length)
         if len(blob) != length:
             raise DecompressionError(f"truncated section {name!r}")
         sections[name] = blob
-    return header.get("meta", {}), sections
+    return meta, sections

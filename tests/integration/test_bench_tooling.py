@@ -8,6 +8,7 @@ the script directly from ``benchmarks/`` and pin the contract.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -124,3 +125,47 @@ class TestSuiteSelection:
         extracted = extract(raw_payload)
         assert extracted["gate"] == ["cells_completed"]
         assert extracted["metrics"]["cells_completed"] == 8.0
+
+
+class TestFailingSuite:
+    """One failing suite must not stop the others or hide their artifacts."""
+
+    @pytest.fixture
+    def stub_suites(self, tmp_path, monkeypatch):
+        bench = tmp_path / "bench"
+        (bench / "results").mkdir(parents=True)
+        (bench / "stub_ok.py").write_text(
+            "import json, pathlib\n"
+            "pathlib.Path('results/stub_ok.json').write_text(json.dumps({'value': 1.5}))\n"
+        )
+        (bench / "stub_fail.py").write_text("import sys\nsys.exit(3)\n")
+        # Exits cleanly but leaves no raw results behind.
+        (bench / "stub_silent.py").write_text("")
+
+        def extract(raw):
+            return {"metrics": {"value": raw["value"]}, "gate": [], "directions": {}}
+
+        monkeypatch.setattr(run_all, "BENCH_DIR", bench)
+        monkeypatch.setattr(run_all, "RESULTS_DIR", bench / "results")
+        monkeypatch.setattr(run_all, "SUITES", {
+            "fail": ("stub_fail.py", "stub_fail.json", extract),
+            "silent": ("stub_silent.py", "stub_silent.json", extract),
+            "ok": ("stub_ok.py", "stub_ok.json", extract),
+        })
+        return tmp_path / "out"
+
+    def test_every_suite_runs_and_failures_are_listed(self, stub_suites, capsys):
+        status = run_all.main(["--suites", "fail,silent,ok", "--out", str(stub_suites)])
+        assert status != 0
+        artifact = json.loads((stub_suites / "BENCH_ok.json").read_text())
+        assert artifact["metrics"] == {"value": 1.5}
+        assert not (stub_suites / "BENCH_fail.json").exists()
+        assert not (stub_suites / "BENCH_silent.json").exists()
+        err = capsys.readouterr().err
+        assert "failed suites: fail, silent" in err
+        assert "exited with status 3" in err
+
+    def test_stale_raw_results_are_not_reused(self, stub_suites, capsys):
+        (run_all.RESULTS_DIR / "stub_silent.json").write_text('{"value": 9}')
+        assert run_all.main(["--suites", "silent", "--out", str(stub_suites)]) != 0
+        assert not (stub_suites / "BENCH_silent.json").exists()

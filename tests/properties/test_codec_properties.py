@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.sz import SZCompressor, SZConfig, compress, decompress
+from repro.sz import huffman
 from repro.sz.huffman import HuffmanCodec
 from repro.sz.predictor import lorenzo_decode, lorenzo_encode
 from repro.sz.quantizer import LinearQuantizer
+from repro.utils.bytesio import read_named_sections
 from repro.zfp import ZFPCompressor, ZFPConfig
 
 SETTINGS = settings(
@@ -49,6 +51,22 @@ class TestHuffmanProperties:
     def test_roundtrip_any_int_array(self, data):
         codec = HuffmanCodec()
         assert np.array_equal(codec.decode(codec.encode(data)), data)
+
+    @SETTINGS
+    @given(
+        data=hnp.arrays(
+            dtype=np.int64, shape=st.integers(1, 500), elements=st.integers(-(2**20), 2**20)
+        ),
+        extra=st.integers(0, 2 * huffman._SYNC_STRIDE),
+    )
+    def test_roundtrip_with_sync_section(self, data, extra):
+        # Tiled past the threshold, so the blob carries a `sync` section and
+        # decodes through the lane kernel; `extra` moves the partial last lane.
+        stream = np.resize(data, huffman._SYNC_MIN_COUNT + extra)
+        codec = HuffmanCodec()
+        blob = codec.encode(stream)
+        assert "sync" in read_named_sections(blob)[1]
+        assert np.array_equal(codec.decode(blob), stream)
 
 
 class TestLorenzoProperties:

@@ -81,6 +81,24 @@ class TestNamedSections:
         with pytest.raises(DecompressionError):
             read_named_sections(corrupted)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"[]",
+            b'{"meta": [], "sections": []}',
+            b'{"meta": {}, "sections": {"a": 3}}',
+            b'{"meta": {}, "sections": [["a", -1]]}',
+            b'{"meta": {}, "sections": [["a", 1.5]]}',
+            b'{"meta": {}, "sections": [[7, 3]]}',
+            b'{"meta": {}, "sections": [["a"]]}',
+        ],
+    )
+    def test_well_formed_json_with_a_bad_shape_raises(self, header):
+        buf = io.BytesIO()
+        write_frame(buf, header)
+        with pytest.raises(DecompressionError):
+            read_named_sections(buf.getvalue() + b"abc")
+
     def test_non_bytes_section_raises(self):
         with pytest.raises(ValidationError):
             write_named_sections({"a": 123})  # type: ignore[dict-item]
