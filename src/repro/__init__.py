@@ -17,7 +17,8 @@ Compress Deep Neural Networks by Using Error-Bounded Lossy Compression*
 * :mod:`repro.baselines` — Deep Compression and Weightless;
 * :mod:`repro.core` — the DeepSZ framework itself (error bound assessment,
   accuracy model, error-bound optimization, compressed model generation);
-* :mod:`repro.parallel` — the process-pool assessment harness;
+* :mod:`repro.parallel` — the process/thread task pool behind every
+  parallel path;
 * :mod:`repro.store` — the random-access ``.dsz`` model archive and the
   SHA-256 content-addressed :class:`~repro.store.ModelStore`;
 * :mod:`repro.serve` — the on-demand serving runtime (decoded-layer LRU

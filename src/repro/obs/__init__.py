@@ -21,7 +21,6 @@ from repro.obs.metrics import (
     MetricSample,
     MetricsBlock,
     MetricsRegistry,
-    SharedCounter,
     is_enabled,
     log_buckets,
     parse_prometheus,
@@ -60,7 +59,6 @@ __all__ = [
     "MetricSample",
     "MetricsBlock",
     "MetricsRegistry",
-    "SharedCounter",
     "Span",
     "Tracer",
     "active_fetch_log",

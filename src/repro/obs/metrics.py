@@ -8,12 +8,10 @@ Three layers, matching how the serving stack is deployed:
   hot paths update plain counters under a lock (or nothing at all — the
   gateway collector reads the serving layer's existing stats at scrape
   time), and exposition walks the instruments only when someone asks.
-* **Cross-process primitives** — :class:`SharedCounter` (an
-  ``mp.Value('q')`` with its lock, safe for many writers) and
-  :class:`MetricsBlock` (a fixed array of int64 slots in one
-  ``multiprocessing.shared_memory`` segment, single writer per slot), so
-  ``ProcessServer`` workers publish into the same per-host registry as
-  thread replicas.  Blocks are named ``repro_obs_<pid>_<seq>`` and tracked
+* **Cross-process primitive** — :class:`MetricsBlock` (a fixed array of
+  int64 slots in one ``multiprocessing.shared_memory`` segment, single
+  writer per slot), so ``ProcessServer`` workers publish into the same
+  per-host registry as thread replicas.  Blocks are named ``repro_obs_<pid>_<seq>`` and tracked
   in an ``atexit`` registry, so the ``/dev/shm`` leak scan that guards the
   weight cache covers metric blocks too.
 * **Exposition** — :meth:`MetricsRegistry.to_prometheus` (text format with
@@ -39,7 +37,6 @@ import atexit
 import bisect
 import itertools
 import math
-import multiprocessing
 import os
 import random
 import re
@@ -62,7 +59,6 @@ __all__ = [
     "MetricSample",
     "MetricsBlock",
     "MetricsRegistry",
-    "SharedCounter",
     "is_enabled",
     "log_buckets",
     "parse_prometheus",
@@ -662,31 +658,6 @@ def parse_prometheus(text: str) -> Dict[str, dict]:
 # -- cross-process primitives ------------------------------------------------
 
 
-class SharedCounter:
-    """A cross-process counter: ``mp.Value('q')`` guarded by its own lock.
-
-    Safe for concurrent writers in many processes (unlike
-    :class:`MetricsBlock` slots, which are single-writer).  This is the
-    idiom the in-flight gauge already uses; exposed here so other
-    multi-writer counters do not reinvent it.
-    """
-
-    def __init__(self, ctx=None, initial: int = 0) -> None:
-        self._cell = (ctx or multiprocessing).Value("q", int(initial))
-
-    def add(self, amount: int = 1) -> None:
-        with self._cell.get_lock():
-            self._cell.value += int(amount)
-
-    def reset(self) -> None:
-        with self._cell.get_lock():
-            self._cell.value = 0
-
-    @property
-    def value(self) -> int:
-        return int(self._cell.value)
-
-
 _BLOCKS_LOCK = threading.Lock()
 _LIVE_BLOCKS: "List[MetricsBlock]" = []
 _BLOCK_SEQ = itertools.count(1)
@@ -709,8 +680,7 @@ class MetricsBlock:
     (segment name + slot order, a few dozen bytes) to the worker, which
     :meth:`attach`\\ es and becomes the **single writer**: aligned 8-byte
     stores are atomic on every platform CPython supports, so the parent
-    reads live values without any cross-process lock.  Counters that need
-    *multiple* writers belong in :class:`SharedCounter` instead.
+    reads live values without any cross-process lock.
 
     The creating process owns the segment: ``close()`` there unlinks it,
     and an ``atexit`` registry unlinks anything still live on unclean exit

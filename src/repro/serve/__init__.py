@@ -5,6 +5,8 @@
 * :mod:`repro.serve.runtime` — :class:`ModelRuntime`, lazy per-layer decode
   over a memory-mapped ``.dsz`` archive with prefetch on the shared task
   pool;
+* :mod:`repro.serve.batching` — the one replica batching loop (collect →
+  forward → respond) that thread and process replicas both run;
 * :mod:`repro.serve.server` — :class:`Server`, the dynamic-batching
   inference front-end with throughput / latency-percentile reporting;
 * :mod:`repro.serve.shm` — :class:`SharedWeightStore` /

@@ -103,10 +103,6 @@ def archive_input_dim(source: Union[str, bytes]) -> int:
         archive.close()
 
 
-# Backwards-compatible private alias (pre-repro.sim callers).
-_archive_input_dim = archive_input_dim
-
-
 def gateway_benchmark(
     sources: Dict[str, Union[str, bytes]],
     *,
@@ -165,7 +161,7 @@ def gateway_benchmark(
     sparse_by_name = (
         dict(sparse) if isinstance(sparse, dict) else {name: bool(sparse) for name in names}
     )
-    input_dims = {name: _archive_input_dim(src) for name, src in sources.items()}
+    input_dims = {name: archive_input_dim(src) for name, src in sources.items()}
     exporter: Optional[JsonlSpanExporter] = None
     tracer: Optional[Tracer] = None
     if float(trace_sample) > 0.0:
@@ -368,7 +364,7 @@ def async_gateway_benchmark(
     sparse_by_name = (
         dict(sparse) if isinstance(sparse, dict) else {name: bool(sparse) for name in names}
     )
-    input_dims = {name: _archive_input_dim(src) for name, src in sources.items()}
+    input_dims = {name: archive_input_dim(src) for name, src in sources.items()}
     rng = np.random.default_rng(seed)
     inputs = {
         name: rng.standard_normal((1, dim)).astype(np.float32)[0]

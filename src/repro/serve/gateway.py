@@ -68,6 +68,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import profile
 from repro.obs.metrics import Histogram, MetricSample, MetricsRegistry
 from repro.obs.trace import Span, Tracer
+from repro.serve.batching import settle
 from repro.serve.runtime import DEFAULT_CACHE_BYTES, ModelRuntime
 from repro.serve.server import Server, ServerStats
 from repro.serve.shm import shared_weight_store
@@ -1106,7 +1107,7 @@ class Gateway:
                 if span is not None:
                     span.set(status="error", outcome="error")
                     span.finish()
-                request.future.set_exception(exc)
+                settle(request.future, error=exc)
                 continue
             inner.add_done_callback(
                 lambda f, req=request, e=entry: self._complete(e, req, f)
@@ -1131,9 +1132,9 @@ class Gateway:
                 request.span.set(outcome="completed")
             request.span.finish()
         if exc is None:
-            request.future.set_result(inner.result())
+            settle(request.future, inner.result())
         else:
-            request.future.set_exception(exc)
+            settle(request.future, error=exc)
 
     # -- statistics --------------------------------------------------------
     def stats(self) -> GatewayStats:

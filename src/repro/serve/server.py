@@ -3,11 +3,12 @@
 The :class:`Server` completes the paper's edge scenario: after the archive
 arrives and the :class:`~repro.serve.runtime.ModelRuntime` decodes the fc
 layers on demand, something must actually answer inference requests.  The
-server accepts single-sample requests from any number of client threads,
-coalesces them into batches (dynamic batching: a batch closes when it is
-full *or* when the oldest request has waited ``max_batch_delay``), runs one
-forward pass per batch on the NumPy network, and resolves each request's
-future with its probability row.
+server accepts single-sample requests from any number of client threads
+and runs the replica batching loop of :mod:`repro.serve.batching` on one
+thread over a ``SimpleQueue``: a batch closes when it is full *or* when
+``max_batch_delay`` has passed since its first request was submitted, one
+forward pass answers it, and each request's future resolves with its
+probability row.
 
 The forward pass is whatever the network's fc layers are running: dense
 BLAS matmuls, or — when the weights were installed from a sparse-mode
@@ -24,7 +25,8 @@ latency percentiles — the numbers ``python -m repro serve-bench`` and
 Requests submitted with a live trace span (see :mod:`repro.obs.trace`) get
 ``replica.queue`` / ``replica.batch`` / ``replica.forward`` child spans,
 plus one ``replica.decode`` span per decode-on-demand weight fetch the
-forward pass triggered; untraced requests pay only a ``None`` check.
+forward pass triggered, exported through the span's tracer; untraced
+requests pay only a ``None`` check.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.lint.lockcheck import make_lock
-from repro.obs import profile
 from repro.obs.metrics import Histogram
 from repro.obs.trace import Span
+from repro.serve.batching import Batch, Request, serve_batches, settle
 from repro.serve.runtime import ModelRuntime
 from repro.utils.errors import ValidationError
 
@@ -81,14 +83,21 @@ class ServerStats:
         out["throughput_rps"] = self.throughput_rps
         return out
 
-
-@dataclass
-class _Request:
-    x: np.ndarray
-    future: Future
-    enqueued: float
-    span: Optional[Span] = None  # gateway-side root; None for untraced requests
-    wall_enqueued: float = 0.0  # wall clock, only captured when traced
+    @classmethod
+    def for_run(
+        cls, hist: Histogram, *, batches: int, batch_items: int, failures: int,
+        started_at: float, stopped_at: Optional[float],
+    ) -> "ServerStats":
+        """One replica run's stats; stamps are ``perf_counter``, a live run ends now."""
+        end = stopped_at if stopped_at is not None else time.perf_counter()
+        return cls(
+            requests=hist.count,
+            batches=batches,
+            failures=failures,
+            elapsed_seconds=max(end - started_at, 0.0) if started_at else 0.0,
+            latencies_ms=hist.percentiles(scale=1e3),
+            mean_batch_size=batch_items / batches if batches else 0.0,
+        )
 
 
 class Server:
@@ -125,7 +134,7 @@ class Server:
         self._runtime = runtime
         self._batch_size = int(batch_size)
         self._max_batch_delay = float(max_batch_delay)
-        self._queue: "queue.SimpleQueue[Optional[_Request]]" = queue.SimpleQueue()
+        self._queue: "queue.SimpleQueue[Optional[Request]]" = queue.SimpleQueue()
         self._worker: Optional[threading.Thread] = None
         self._running = False
         self._lock = make_lock("serve.server.state")
@@ -169,8 +178,11 @@ class Server:
             self._inflight = 0
             self._started_at = time.perf_counter()
             self._stopped_at = None
+            # The worker exits only by consuming the shutdown sentinel:
+            # stop() enqueues it atomically with the _running flip, so every
+            # accepted request is ahead of it and gets answered first.
             self._worker = threading.Thread(
-                target=self._serve_loop, name="repro-serve", daemon=True
+                target=self._serve, name="repro-serve", daemon=True
             )
             self._worker.start()
         return self
@@ -207,12 +219,14 @@ class Server:
         root): when present the batching loop emits queue/batch/forward/
         decode child spans for this request.
         """
-        request = _Request(
+        future: Future = Future()
+        # The batch deadline counts from submit time on this backend.
+        request = Request(
             x=np.asarray(x, dtype=np.float32),
-            future=Future(),
-            enqueued=time.perf_counter(),
-            span=span,
-            wall_enqueued=time.time() if span is not None else 0.0,
+            arrived=time.perf_counter(),
+            handle=(future, span),
+            ctx=span.context() if span is not None else None,
+            wall_arrived=time.time() if span is not None else 0.0,
         )
         # The running check and the put are one atomic step: stop() enqueues
         # its sentinel under the same lock, so a request can never land
@@ -223,7 +237,7 @@ class Server:
                 raise ValidationError("server is not running (call start())")
             self._inflight += 1
             self._queue.put(request)
-        return request.future
+        return future
 
     def submit_many(self, xs: Sequence[np.ndarray]) -> List[Future]:
         """Enqueue a sequence of samples, one future per sample.
@@ -243,106 +257,34 @@ class Server:
         return int(np.argmax(self.infer(x, timeout=timeout)))
 
     # -- batching loop -----------------------------------------------------
-    def _serve_loop(self) -> None:
-        # The worker exits only by consuming the shutdown sentinel: stop()
-        # enqueues it atomically with the _running flip, so every accepted
-        # request is ahead of it and gets processed before the exit.
-        while True:
-            first = self._queue.get()
-            if first is None:
-                return
-            batch = [first]
-            deadline = first.enqueued + self._max_batch_delay
-            stop_after = False
-            while len(batch) < self._batch_size:
-                remaining = deadline - time.perf_counter()
-                try:
-                    # Past the deadline, still drain whatever is already
-                    # queued (backlog built up during the previous forward
-                    # pass) — only *waiting* for more requests is bounded
-                    # by the delay budget.
-                    if remaining > 0:
-                        item = self._queue.get(timeout=remaining)
-                    else:
-                        item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is None:
-                    stop_after = True
-                    break
-                batch.append(item)
-            self._run_batch(batch)
-            if stop_after:
-                return
+    def _serve(self) -> None:
+        serve_batches(
+            self._receive, self._network, self._respond,
+            batch_size=self._batch_size, max_batch_delay=self._max_batch_delay,
+        )
 
-    def _run_batch(self, batch: Sequence[_Request]) -> None:
-        traced = [req for req in batch if req.span is not None]
-        wall_assembled = time.time() if traced else 0.0
-        fetches: List[profile.FetchRecord] = []
-        try:
-            inputs = np.stack([req.x for req in batch])
-            if traced:
-                # A traced batch collects (layer, start, end) for every
-                # decode-on-demand weight fetch the forward pass triggers.
-                with profile.collect_fetches() as fetches:
-                    wall_fwd_start = time.time()
-                    probs = self._network.forward(inputs, training=False)
-                    wall_fwd_end = time.time()
-            else:
-                probs = self._network.forward(inputs, training=False)
-        except BaseException as exc:  # propagate to every caller in the batch
-            done = time.perf_counter()
-            with self._lock:
-                self._failures += len(batch)
-            for req in batch:
-                self._record_latency(req, done)
-                req.future.set_exception(exc)
-            return
+    def _receive(self, timeout: Optional[float]) -> Optional[Request]:
+        # timeout 0 takes only what is already queued (queue.Empty if none).
+        return self._queue.get(block=timeout != 0, timeout=timeout)
+
+    def _respond(self, batch: Batch) -> None:
         done = time.perf_counter()
+        requests = batch.requests
         with self._lock:
             self._batches += 1
-            self._batch_items += len(batch)
-        if traced:
-            self._emit_spans(
-                traced, len(batch), wall_assembled, wall_fwd_start, wall_fwd_end, fetches
-            )
-        for req, row in zip(batch, probs):
-            self._record_latency(req, done)
-            req.future.set_result(row)
-
-    @staticmethod
-    def _emit_spans(
-        traced: Sequence[_Request],
-        batch_size: int,
-        assembled_s: float,
-        fwd_start_s: float,
-        fwd_end_s: float,
-        fetches: Sequence[profile.FetchRecord],
-    ) -> None:
-        """Per traced request: queue → batch → forward (+ per-layer decode).
-
-        Decode spans are duplicated into every traced tree of the batch —
-        each request's tree stays complete on its own, which is what trace
-        tooling (and the CI validator) consume.
-        """
-        for req in traced:
-            queue_span = req.span.child("replica.queue", start_s=req.wall_enqueued)
-            queue_span.finish(assembled_s)
-            batch_span = req.span.child(
-                "replica.batch", start_s=assembled_s, attrs={"batch_size": batch_size}
-            )
-            forward = batch_span.child("replica.forward", start_s=fwd_start_s)
-            for layer, fetch_start, fetch_end in fetches:
-                forward.child(
-                    "replica.decode", start_s=fetch_start, attrs={"layer": layer}
-                ).finish(fetch_end)
-            forward.finish(fwd_end_s)
-            batch_span.finish(fwd_end_s)
-
-    def _record_latency(self, req: _Request, done: float) -> None:
-        with self._lock:
-            self._latency_hist.observe(done - req.enqueued)
-            self._inflight -= 1
+            self._batch_items += len(requests)
+            if batch.error is not None:
+                self._failures += len(requests)
+            for request in requests:
+                self._latency_hist.observe(done - request.arrived)
+            self._inflight -= len(requests)
+        if batch.spans:
+            # The gateway runs one tracer, so any traced request's is *the* one.
+            tracer = next(r.handle[1].tracer for r in requests if r.handle[1] is not None)
+            tracer.export_dicts(batch.spans)
+        rows = batch.outputs if batch.error is None else [None] * len(requests)
+        for request, row in zip(requests, rows):
+            settle(request.handle[0], row, batch.error)
 
     @property
     def inflight(self) -> int:
@@ -361,18 +303,8 @@ class Server:
     # -- statistics --------------------------------------------------------
     def stats(self) -> ServerStats:
         with self._lock:
-            requests = self._latency_hist.count
-            percentiles = self._latency_hist.percentiles(scale=1e3)
-            batches = self._batches
-            batch_items = self._batch_items
-            failures = self._failures
-        end = self._stopped_at if self._stopped_at is not None else time.perf_counter()
-        elapsed = max(end - self._started_at, 0.0) if self._started_at else 0.0
-        return ServerStats(
-            requests=requests,
-            batches=batches,
-            failures=failures,
-            elapsed_seconds=elapsed,
-            latencies_ms=percentiles,
-            mean_batch_size=batch_items / batches if batches else 0.0,
-        )
+            return ServerStats.for_run(
+                self._latency_hist, batches=self._batches, batch_items=self._batch_items,
+                failures=self._failures, started_at=self._started_at,
+                stopped_at=self._stopped_at,
+            )

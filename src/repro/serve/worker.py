@@ -9,11 +9,11 @@ interpreter's GIL.  A *process* replica moves the hot loop out:
   (:class:`~repro.serve.shm.SharedRuntime` — no archive read, no codec
   pass, no private weight copy), builds the serving network (the default
   :class:`~repro.serve.gateway.ArchiveMLP`, or a picklable
-  ``network_factory``), and runs a dynamic-batching loop over the request
-  pipe: a batch closes when it is full or when the oldest request has
-  waited ``max_batch_delay`` — the same policy as the in-process
-  :class:`~repro.serve.server.Server` — then one forward pass answers the
-  whole batch with a single response message.
+  ``network_factory``), and runs the replica batching loop of
+  :mod:`repro.serve.batching` — the one the in-process
+  :class:`~repro.serve.server.Server` runs — over the request pipe.  A
+  batch's deadline counts from the pipe receipt of its first request; one
+  forward pass answers the whole batch with a single response message.
 * :class:`ProcessServer` is the parent-side handle with the same surface a
   :class:`~repro.serve.gateway.Replica` expects from a ``Server``
   (``start/stop/submit/infer/inflight/stats``), so the gateway's dispatch,
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import queue
 import threading
 import time
 from concurrent.futures import Future
@@ -66,10 +67,10 @@ import numpy as np
 
 from repro.lint.lockcheck import make_lock
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile
 from repro.obs.log import get_logger
 from repro.obs.metrics import Histogram, MetricsBlock
-from repro.obs.trace import Span, span_dict
+from repro.obs.trace import Span
+from repro.serve.batching import Batch, Request, serve_batches, settle
 from repro.serve.server import ServerStats
 from repro.utils.errors import ReplicaCrashed, ValidationError
 
@@ -148,62 +149,6 @@ def _send_safely(conn, message) -> None:
         _log.debug("response pipe send failed (parent gone?)", exc_info=True)
 
 
-def _batch_spans(batch, assembled_s, fwd_start_s, fwd_end_s, fetches) -> List[dict]:
-    """Span dicts for every traced request in one worker batch.
-
-    Each traced request gets the same sub-tree under its gateway-side root:
-    ``replica.queue`` (pipe recv → batch assembled) and ``replica.batch``
-    (assembled → forward done) as siblings, ``replica.forward`` under the
-    batch span, and one ``replica.decode`` per weight fetch under the
-    forward span.  Batch-level work is shared, so its spans are duplicated
-    per traced request — each trace tree stays self-contained.
-    """
-    spans: List[dict] = []
-    size = len(batch)
-    for _req_id, _x, ctx, recv_s in batch:
-        if ctx is None:
-            continue
-        trace_id, root_id = ctx["trace_id"], ctx["span_id"]
-        spans.append(
-            span_dict(
-                "replica.queue",
-                trace_id=trace_id,
-                parent_id=root_id,
-                start_s=recv_s,
-                end_s=assembled_s,
-            )
-        )
-        batch_span = span_dict(
-            "replica.batch",
-            trace_id=trace_id,
-            parent_id=root_id,
-            start_s=assembled_s,
-            end_s=fwd_end_s,
-            attrs={"batch_size": size},
-        )
-        spans.append(batch_span)
-        forward = span_dict(
-            "replica.forward",
-            trace_id=trace_id,
-            parent_id=batch_span["span_id"],
-            start_s=fwd_start_s,
-            end_s=fwd_end_s,
-        )
-        spans.append(forward)
-        for layer, fetch_start, fetch_end in fetches or ():
-            spans.append(
-                span_dict(
-                    "replica.decode",
-                    trace_id=trace_id,
-                    parent_id=forward["span_id"],
-                    start_s=fetch_start,
-                    end_s=fetch_end,
-                    attrs={"layer": layer},
-                )
-            )
-    return spans
-
-
 def _worker_main(spec: WorkerSpec, request_conn, response_conn) -> None:
     """Child entry: attach shared weights, answer batched requests."""
     # Imported lazily: the parent-side module must stay importable without
@@ -229,80 +174,60 @@ def _worker_main(spec: WorkerSpec, request_conn, response_conn) -> None:
         return
     _send_safely(response_conn, ("ready", runtime.shared_bytes))
 
+    def receive(timeout: Optional[float]) -> Optional[Request]:
+        if timeout is not None and not request_conn.poll(timeout):
+            raise queue.Empty
+        message = request_conn.recv()
+        if message is None:
+            return None
+        req_id, sample, ctx = message
+        # The batch deadline counts from pipe receipt on this backend.
+        wall = time.time() if ctx is not None else 0.0
+        return Request(sample, time.perf_counter(), req_id, ctx=ctx, wall_arrived=wall)
+
+    def respond(batch: Batch) -> None:
+        ids = [request.handle for request in batch.requests]
+        if block is not None:
+            block.add("batches", 1)
+            block.add("batch_items", len(ids))
+            if batch.forward_ns is not None:
+                block.add("forward_ns", batch.forward_ns)
+                block.add("forward_count", 1)
+                if batch.fetches:
+                    fetch_ns = sum(end - start for _, start, end in batch.fetches)
+                    block.add("fetch_ns", int(fetch_ns * 1e9))
+                    block.add("fetch_count", len(batch.fetches))
+        if batch.error is None:
+            _send_safely(response_conn, ("ok", ids, batch.outputs, batch.spans))
+            return
+        exc = batch.error
+        try:
+            response_conn.send(("err", ids, exc, []))
+        except Exception:
+            # The exception object itself would not pickle; say so
+            # (otherwise a custom exception type degrades to a bare string
+            # parent-side with no hint why) and fall back to the
+            # stringified form.
+            _log.debug(
+                "worker %s: error response for %r did not pickle; "
+                "sending stringified form",
+                spec.replica_id,
+                type(exc).__name__,
+                exc_info=True,
+            )
+            _send_safely(
+                response_conn, ("err", ids, f"{type(exc).__name__}: {exc}", [])
+            )
+
     try:
-        stopping = False
-        while not stopping:
-            message = request_conn.recv()
-            if message is None:
-                break
-            batch = [(message[0], message[1], message[2], time.time())]
-            deadline = time.perf_counter() + spec.max_batch_delay
-            while len(batch) < spec.batch_size:
-                remaining = deadline - time.perf_counter()
-                # Past the deadline, still drain what is already in the
-                # pipe (backlog from the previous forward pass); only
-                # *waiting* for more requests is bounded by the delay.
-                if not request_conn.poll(max(0.0, remaining)):
-                    break
-                message = request_conn.recv()
-                if message is None:
-                    stopping = True
-                    break
-                batch.append((message[0], message[1], message[2], time.time()))
-            ids = [req_id for req_id, _, _, _ in batch]
-            traced = any(ctx is not None for _, _, ctx, _ in batch)
-            profiled = block is not None and obs_metrics.is_enabled()
-            fetches: Optional[List[profile.FetchRecord]] = None
-            try:
-                inputs = np.stack([x for _, x, _, _ in batch])
-                if traced or profiled:
-                    assembled_s = time.time()
-                    fwd_tick = time.perf_counter()
-                    with profile.collect_fetches() as fetches:
-                        outputs = np.asarray(network.forward(inputs, training=False))
-                    forward_ns = int((time.perf_counter() - fwd_tick) * 1e9)
-                    fwd_end_s = time.time()
-                else:
-                    outputs = np.asarray(network.forward(inputs, training=False))
-            except BaseException as exc:
-                try:
-                    response_conn.send(("err", ids, exc, []))
-                except Exception:
-                    # The exception object itself would not pickle; say so
-                    # (otherwise a custom exception type degrades to a bare
-                    # string parent-side with no hint why) and fall back to
-                    # the stringified form.
-                    _log.debug(
-                        "worker %s: error response for %r did not pickle; "
-                        "sending stringified form",
-                        spec.replica_id,
-                        type(exc).__name__,
-                        exc_info=True,
-                    )
-                    _send_safely(
-                        response_conn,
-                        ("err", ids, f"{type(exc).__name__}: {exc}", []),
-                    )
-                continue
-            finally:
-                if block is not None:
-                    block.add("batches", 1)
-                    block.add("batch_items", len(ids))
-            spans: List[dict] = []
-            if traced or profiled:
-                if block is not None:
-                    block.add("forward_ns", forward_ns)
-                    block.add("forward_count", 1)
-                    if fetches:
-                        fetch_ns = sum(end - start for _, start, end in fetches)
-                        block.add("fetch_ns", int(fetch_ns * 1e9))
-                        block.add("fetch_count", len(fetches))
-                if traced:
-                    # Forward wall start ≈ assembly end; one clock for spans.
-                    spans = _batch_spans(
-                        batch, assembled_s, assembled_s, fwd_end_s, fetches
-                    )
-            _send_safely(response_conn, ("ok", ids, outputs, spans))
+        serve_batches(
+            receive,
+            network,
+            respond,
+            batch_size=spec.batch_size,
+            max_batch_delay=spec.max_batch_delay,
+            profiled=obs_metrics.is_enabled if block is not None else None,
+        )
         _send_safely(response_conn, ("bye",))
     except (EOFError, OSError):  # parent died; exit quietly
         pass
@@ -885,7 +810,7 @@ class ProcessServer:
                 self._inflight.value -= len(pending)
             error = ReplicaCrashed(reason)
             for item in pending:
-                item.future.set_exception(error)
+                settle(item.future, error=error)
 
     def _resolve(self, link: _Link, ids, results=None, error=None, spans=None) -> None:
         done = time.perf_counter()
@@ -915,10 +840,7 @@ class ProcessServer:
                     item.span.tracer.export_dicts(spans)
                     break
         for item, row in resolved:
-            if error is not None:
-                item.future.set_exception(error)
-            else:
-                item.future.set_result(row)
+            settle(item.future, row, error)
 
     # -- statistics --------------------------------------------------------
     def worker_counters(self) -> Dict[str, int]:
@@ -939,17 +861,9 @@ class ProcessServer:
             hist = self._latency_hist.copy()
             failures = self._failures
         counters = self.worker_counters()
-        batches = counters["batches"]
-        items = counters["batch_items"]
-        end = self._stopped_at if self._stopped_at is not None else time.perf_counter()
-        elapsed = max(end - self._started_at, 0.0) if self._started_at else 0.0
-        return ServerStats(
-            requests=hist.count,
-            batches=batches,
-            failures=failures,
-            elapsed_seconds=elapsed,
-            latencies_ms=hist.percentiles(scale=1e3),
-            mean_batch_size=items / batches if batches else 0.0,
+        return ServerStats.for_run(
+            hist, batches=counters["batches"], batch_items=counters["batch_items"],
+            failures=failures, started_at=self._started_at, stopped_at=self._stopped_at,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,11 +1,18 @@
-"""Tests for the dynamic-batching inference :class:`Server`."""
+"""Tests for the dynamic-batching inference :class:`Server`.
 
+:class:`TestReplicaBatching` drives the one batching loop through both
+replica backends: the thread :class:`Server` and a process replica whose
+worker builds the test-double network from its (picklable) class.
+"""
+
+import math
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from repro.serve import Server
+from repro.serve import ProcessServer, Server, shared_weight_store
 from repro.utils.errors import ValidationError
 
 
@@ -18,11 +25,37 @@ class FakeNetwork:
         self.batch_shapes = []
         self._lock = threading.Lock()
 
+    def set_weights(self, name, weights):
+        """Ignore the archive weights a process replica installs."""
+
     def forward(self, x, training=False):
         assert not training
         with self._lock:
             self.batch_shapes.append(x.shape)
         return x @ self.w
+
+
+class BrokenNetwork(FakeNetwork):
+    def forward(self, x, training=False):
+        raise RuntimeError("no weights")
+
+
+@contextmanager
+def running_replica(backend, network_cls, archive_blob, **kwargs):
+    """A started replica of ``backend`` serving ``network_cls()``."""
+    if backend == "thread":
+        with Server(network_cls(), **kwargs) as server:
+            yield server
+        return
+    store = shared_weight_store()
+    shared = store.acquire(archive_blob)
+    server = ProcessServer("test/0", network_factory=network_cls, **kwargs)
+    server.set_shared(shared)
+    try:
+        with server:
+            yield server
+    finally:
+        store.release(shared)
 
 
 class FakeRuntime:
@@ -90,10 +123,6 @@ class TestServing:
         assert stats.requests == 160
 
     def test_forward_error_propagates_to_futures(self):
-        class BrokenNetwork:
-            def forward(self, x, training=False):
-                raise RuntimeError("no weights")
-
         with Server(BrokenNetwork()) as server:
             future = server.submit(np.zeros(4, dtype=np.float32))
             with pytest.raises(RuntimeError, match="no weights"):
@@ -137,3 +166,59 @@ class TestServing:
             Server(FakeNetwork(), batch_size=0)
         with pytest.raises(ValidationError):
             Server(FakeNetwork(), max_batch_delay=-1)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+class TestReplicaBatching:
+    @pytest.mark.parametrize(
+        "network_cls", [FakeNetwork, BrokenNetwork], ids=["ok", "failing"]
+    )
+    def test_back_to_back_requests_fold_into_batches(
+        self, backend, network_cls, archive_blob
+    ):
+        """n back-to-back requests take ceil(n / batch_size) forward passes.
+
+        The delay far exceeds the submit burst, so batches close on size
+        and the trailing partial one on its deadline.  A failing pass fails
+        every request in its batch and still counts as a batch, on both
+        backends alike.
+        """
+        n, batch_size = 10, 4
+        samples = np.random.default_rng(7).normal(0, 1, (n, 6)).astype(np.float32)
+        with running_replica(
+            backend, network_cls, archive_blob, batch_size=batch_size, max_batch_delay=1.0
+        ) as server:
+            futures = [server.submit(x) for x in samples]
+            if network_cls is BrokenNetwork:
+                for future in futures:
+                    with pytest.raises(RuntimeError, match="no weights"):
+                        future.result(timeout=30)
+            else:
+                w = FakeNetwork().w
+                for future, x in zip(futures, samples):
+                    np.testing.assert_allclose(future.result(timeout=30), x @ w, rtol=1e-6)
+            assert server.inflight == 0
+        stats = server.stats()
+        assert stats.requests == n
+        assert stats.batches == math.ceil(n / batch_size)
+        assert stats.mean_batch_size == pytest.approx(n / stats.batches)
+        assert stats.failures == (n if network_cls is BrokenNetwork else 0)
+
+    def test_cancelled_request_does_not_kill_replica(self, backend, archive_blob):
+        x = np.ones(6, dtype=np.float32)
+        # Two-request batches behind a long delay: the first request parks
+        # in the open batch, where the caller cancels it.
+        with running_replica(
+            backend, FakeNetwork, archive_blob, batch_size=2, max_batch_delay=30.0
+        ) as server:
+            cancelled = server.submit(x)
+            assert cancelled.cancel()
+            future = server.submit(x)  # fills the batch
+            np.testing.assert_allclose(
+                future.result(timeout=30), x @ FakeNetwork().w, rtol=1e-6
+            )
+            assert server.inflight == 0
+            server.stop()
+        assert cancelled.cancelled()
+        stats = server.stats()
+        assert (stats.requests, stats.batches, stats.failures) == (2, 1, 0)
